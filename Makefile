@@ -38,18 +38,27 @@ bench:
 # Regression gate: rerun the bench snapshot into a scratch file and
 # compare it against the committed BENCH_trace.json; >10% regressions in
 # ns/op or cmds/s fail the build. Override BENCH_THRESHOLD for noisier
-# runners. The -floor line pins the sharded scheduler against its own
-# serial baseline from the same run (machine-independent): parallel
-# scheduling may never fall below 0.9x serial — on a single-core runner
-# the engine's serial fallback makes the two coincide, and on multi-core
-# any sharding overhead regression fails the gate.
+# runners. The -floor lines compare benchmarks from the same run
+# (machine-independent). The first pins the sharded scheduler against its
+# own serial baseline: parallel scheduling may never fall below 0.9x
+# serial — on a single-core runner the engine's serial fallback makes the
+# two coincide, and on multi-core any sharding overhead regression fails
+# the gate. The other two pin the two users of the streaming ring
+# (internal/pipe) against their own decoders: dtb replay against dtb
+# decode alone, fused schedule+replay against access-text decode alone.
+# Their factors sit at or below 0.8x the lowest ratio measured over 10
+# runs each at GOMAXPROCS=1 and 2 (0.45 and 0.63), so only a real
+# pipeline regression trips them.
 BENCH_THRESHOLD ?= 10
+BENCH_FLOORS = \
+	-floor 'BenchmarkSchedule4ChParallel:req/s>=0.9*BenchmarkSchedule4Ch:req/s' \
+	-floor 'BenchmarkTraceReplay1ChBinary:cmds/s>=0.35*BenchmarkTraceScanBinary:cmds/s' \
+	-floor 'BenchmarkScheduleReplayFused:req/s>=0.5*BenchmarkScheduleScanAccess:req/s'
 bench-gate:
 	$(GO) test -run '^$$' -bench 'Trace|Sweep|Server|Schedule' -benchmem . \
 		| $(GO) run ./tools/benchjson > BENCH_new.json
 	$(GO) run ./tools/benchjson -compare BENCH_trace.json -threshold $(BENCH_THRESHOLD) \
-		-floor 'BenchmarkSchedule4ChParallel:req/s>=0.9*BenchmarkSchedule4Ch:req/s' \
-		BENCH_new.json
+		$(BENCH_FLOORS) BENCH_new.json
 
 # Every benchmark in the repo (the full reproduction log).
 bench-all:

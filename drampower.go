@@ -114,9 +114,11 @@ type (
 )
 
 // ParseError reports a parse failure at a specific input position (Line
-// 1-based; Col the 1-based byte column of the offending token, 0 for
-// whole-line problems). All parse entry points surface it, possibly
-// wrapped, so recover it with errors.As:
+// 1-based, the record ordinal for binary traces; Col the 1-based byte
+// column of the offending token, 0 for whole-line problems). Kind names
+// the input: "" for descriptions, "trace" for command traces, "access"
+// for access traces. All parse and scan entry points surface it,
+// possibly wrapped, so recover it with errors.As:
 //
 //	var pe *drampower.ParseError
 //	if errors.As(err, &pe) { editor.Jump(pe.Line, pe.Col) }
@@ -263,11 +265,6 @@ func EvaluateSchemesParallel(base *Description, opts BatchOptions) ([]SchemeResu
 	return schemes.EvaluateOpts(base, opts)
 }
 
-// CompareDatasheetDDR2Parallel is CompareDatasheetDDR2 on a worker pool.
-func CompareDatasheetDDR2Parallel(opts BatchOptions) ([]DatasheetComparison, error) {
-	return datasheet.CompareOpts(datasheet.DDR2, opts)
-}
-
 // CompareDatasheetDDR3Parallel is CompareDatasheetDDR3 on a worker pool.
 func CompareDatasheetDDR3Parallel(opts BatchOptions) ([]DatasheetComparison, error) {
 	return datasheet.CompareOpts(datasheet.DDR3, opts)
@@ -311,9 +308,6 @@ type (
 	// [<row>]], '#' comments) without materializing it; see
 	// internal/trace for the format.
 	TraceScanner = trace.Scanner
-	// TraceParseError reports a malformed trace line with its 1-based
-	// line and column, mirroring ParseError's shape.
-	TraceParseError = trace.ParseError
 	// BinaryTraceScanner streams the compact dtb binary trace encoding
 	// (magic+version header, varint-delta slots, packed op/bank/row);
 	// see internal/trace for the layout.
@@ -436,9 +430,6 @@ type (
 	// AccessSource is a request stream: the common interface of the two
 	// access scanners that the controller consumes.
 	AccessSource = ctl.Source
-	// AccessParseError reports a malformed access-trace input with its
-	// 1-based position, mirroring TraceParseError's shape.
-	AccessParseError = ctl.ParseError
 	// Controller schedules one access stream into a command trace.
 	Controller = ctl.Controller
 	// ControllerOptions selects the page policy, address map, channel
@@ -497,34 +488,6 @@ func ScheduleAccesses(m *Model, reqs []AccessRequest, opts ControllerOptions) ([
 	return ctl.ScheduleRequests(m, reqs, opts)
 }
 
-// ScheduleSink consumes a scheduled command stream channel by channel:
-// one channel's batches arrive in trace order, distinct channels may be
-// delivered concurrently, and the batch slice is reused after Consume
-// returns (see ctl.Sink).
-type ScheduleSink = ctl.Sink
-
-// DiscardScheduleSink drops every batch — schedule-only runs that want
-// stats without materializing or replaying the trace.
-var DiscardScheduleSink ScheduleSink = ctl.Discard
-
-// NewReplaySink adapts a Replayer to the streaming scheduler: each
-// channel's batches issue directly on the matching per-channel
-// simulator.
-func NewReplaySink(r *Replayer) ScheduleSink { return ctl.ReplaySink(r) }
-
-// ScheduleStream schedules an access trace read from r (text or .dab,
-// sniffed) and streams the commands into sink as bounded per-channel
-// batches, never materializing the merged trace: peak memory is
-// O(batch) instead of O(commands), and the command sequences and stats
-// are bit-identical to ScheduleTrace's.
-func ScheduleStream(m *Model, r io.Reader, opts ControllerOptions, sink ScheduleSink) (ScheduleStats, error) {
-	c, err := ctl.NewController(m, opts)
-	if err != nil {
-		return ScheduleStats{}, err
-	}
-	return c.ScheduleInto(ctl.NewAccessSource(r), sink)
-}
-
 // ScheduleAndReplay schedules an access trace and replays it as it is
 // scheduled — the fused pipeline: scheduling and energy accounting
 // overlap, the merged command slice never exists, and the stats and
@@ -534,12 +497,6 @@ func ScheduleStream(m *Model, r io.Reader, opts ControllerOptions, sink Schedule
 // controller's channel count; ropts selects its worker pool.
 func ScheduleAndReplay(m *Model, r io.Reader, opts ControllerOptions, ropts ReplayOptions) (ScheduleStats, TraceResult, error) {
 	return ctl.ScheduleReplay(m, r, opts, ropts)
-}
-
-// ScheduleAndReplayAccesses is ScheduleAndReplay over an in-memory
-// access-request slice.
-func ScheduleAndReplayAccesses(m *Model, reqs []AccessRequest, opts ControllerOptions, ropts ReplayOptions) (ScheduleStats, TraceResult, error) {
-	return ctl.ScheduleReplayRequests(m, reqs, opts, ropts)
 }
 
 // ParseControllerPolicy parses a page-policy flag value: "open",
@@ -578,11 +535,6 @@ func WriteBinaryAccessTrace(w io.Writer, reqs []AccessRequest) error {
 func GenerateAccesses(m *Model, opts AccessGenOptions) ([]AccessRequest, error) {
 	return ctl.GenerateAccesses(m, opts)
 }
-
-// NewCommandSliceSource adapts an in-memory command slice to the
-// replayer's TraceSource interface, so a scheduled trace replays without
-// a serialize/re-parse round trip.
-func NewCommandSliceSource(cmds []Command) TraceSource { return trace.NewSliceSource(cmds) }
 
 // Re-exported serving types: the HTTP model-evaluation service behind the
 // dramserved binary (see internal/server).

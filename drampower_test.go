@@ -175,9 +175,9 @@ func TestTraceParseErrorThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = ReplayTrace(m, strings.NewReader("0 act 0 1\nnot a command\n"), ReplayOptions{})
-	var pe *TraceParseError
+	var pe *ParseError
 	if !errors.As(err, &pe) {
-		t.Fatalf("error is %T (%v), want *TraceParseError", err, err)
+		t.Fatalf("error is %T (%v), want *ParseError", err, err)
 	}
 	if pe.Line != 2 {
 		t.Errorf("parse error line: got %d, want 2", pe.Line)

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"drampower/internal/desc"
-	"drampower/internal/trace"
 )
 
 // exit allows tests to intercept the process exit.
@@ -23,9 +22,10 @@ var exit = os.Exit
 var stderr io.Writer = os.Stderr
 
 // Fatal prints "tool: error" to stderr and exits 1. Positioned errors
-// (desc.ParseError, trace.ParseError) already carry their line/column in
-// Error(); Fatal additionally prefixes the offending input name when one
-// is known, producing editor-friendly "tool: file: line N, col M: msg".
+// (desc.ParseError, from descriptions, command traces and access traces
+// alike) already carry their line/column in Error(); Fatal additionally
+// prefixes the offending input name when one is known, producing
+// editor-friendly "tool: file: line N, col M: msg".
 func Fatal(tool string, err error) {
 	FatalInput(tool, "", err)
 }
@@ -33,9 +33,8 @@ func Fatal(tool string, err error) {
 // FatalInput is Fatal with the name of the input (file path or "<stdin>")
 // the error came from; empty means no input context.
 func FatalInput(tool, input string, err error) {
-	var dpe *desc.ParseError
-	var tpe *trace.ParseError
-	positioned := errors.As(err, &dpe) || errors.As(err, &tpe)
+	var pe *desc.ParseError
+	positioned := errors.As(err, &pe)
 	// Some entry points (desc.ParseFile) already wrap the path into the
 	// error text; don't prefix it twice.
 	if strings.Contains(err.Error(), input) {

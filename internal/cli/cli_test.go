@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"drampower/internal/ctl"
 	"drampower/internal/desc"
-	"drampower/internal/trace"
 )
 
 // capture intercepts exit and stderr around fn.
@@ -42,10 +42,29 @@ func TestFatalInputPrefixesPositionedErrors(t *testing.T) {
 		t.Fatalf("stderr = %q, want input-prefixed positioned diagnostic", out)
 	}
 
-	terr := &trace.ParseError{Line: 9, Col: 2, Msg: "bad bank"}
+	terr := &desc.ParseError{Kind: "trace", Line: 9, Col: 2, Msg: "bad bank"}
 	out, _ = capture(func() { FatalInput("tool", "t.txt", terr) })
 	if !strings.HasPrefix(out, "tool: t.txt: ") || !strings.Contains(out, "line 9") {
 		t.Fatalf("stderr = %q", out)
+	}
+}
+
+// An access-trace error is positioned like the others, so dramctl names
+// the offending file just as dramtrace and drampower do.
+func TestFatalInputPrefixesAccessErrors(t *testing.T) {
+	src := ctl.NewAccessSource(strings.NewReader("0 r 0x10\n5 Q 0x20\n"))
+	for src.Scan() {
+	}
+	if src.Err() == nil {
+		t.Fatal("malformed access trace scanned cleanly")
+	}
+	out, code := capture(func() { FatalInput("dramctl", "x.acc", src.Err()) })
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1", code)
+	}
+	want := "dramctl: x.acc: access: line 2, col 3: "
+	if !strings.HasPrefix(out, want) {
+		t.Fatalf("stderr = %q, want prefix %q", out, want)
 	}
 }
 

@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"drampower/internal/desc"
 )
 
 // Request is one access-trace entry: a read or write of one burst at a
@@ -50,28 +52,18 @@ func (r Request) String() string {
 	return fmt.Sprintf("%d %s %#x", r.Slot, op, r.Addr)
 }
 
-// ParseError reports a malformed access-trace input at a 1-based
-// position: Line/Col for text, the request ordinal (Col zero) for
-// binary. It mirrors trace.ParseError so tooling surfaces description,
-// command-trace and access-trace errors uniformly.
-type ParseError struct {
-	Line int
-	Col  int
-	Msg  string
-	err  error // underlying reader error, when the input itself failed
+// parseErr returns a positioned access-input error (a *desc.ParseError
+// of Kind "access"): Line/Col for text, the request ordinal (Col zero)
+// for binary.
+func parseErr(line, col int, format string, args ...any) error {
+	return &desc.ParseError{Kind: "access", Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Error implements the error interface.
-func (e *ParseError) Error() string {
-	if e.Col > 0 {
-		return fmt.Sprintf("access: line %d, col %d: %s", e.Line, e.Col, e.Msg)
-	}
-	return fmt.Sprintf("access: line %d: %s", e.Line, e.Msg)
+// streamErr wraps a reader failure at the given line or ordinal in a
+// positioned access-input error that unwraps to it.
+func streamErr(line int, err error) error {
+	return &desc.ParseError{Kind: "access", Line: line, Msg: err.Error(), Err: err}
 }
-
-// Unwrap exposes the reader error behind a stream failure (nil for
-// ordinary syntax errors).
-func (e *ParseError) Unwrap() error { return e.err }
 
 // Source is a stream of access requests: the common face of the text
 // Scanner, the BinaryScanner and in-memory slices, and what the
@@ -114,6 +106,12 @@ func (sc *Scanner) Scan() bool {
 		sc.line++
 		req, ok, err := parseAccessLine(sc.s.Bytes(), sc.line)
 		if err != nil {
+			// bufio.Scanner hands out the unterminated tail of a failed
+			// read as a last line: if the stream fails right after the bad
+			// line, the cut (a body cap, a timeout) is the error to report.
+			if !sc.s.Scan() && sc.s.Err() != nil {
+				err = streamErr(sc.line, sc.s.Err())
+			}
 			sc.err = err
 			return false
 		}
@@ -123,7 +121,7 @@ func (sc *Scanner) Scan() bool {
 		}
 	}
 	if err := sc.s.Err(); err != nil {
-		sc.err = &ParseError{Line: sc.line + 1, Msg: err.Error(), err: err}
+		sc.err = streamErr(sc.line+1, err)
 	}
 	return false
 }
@@ -131,8 +129,8 @@ func (sc *Scanner) Scan() bool {
 // Request returns the request of the last successful Scan.
 func (sc *Scanner) Request() Request { return sc.req }
 
-// Err returns the first error encountered (a *ParseError), or nil after
-// a clean end of input.
+// Err returns the first error encountered (a *desc.ParseError), or nil
+// after a clean end of input.
 func (sc *Scanner) Err() error { return sc.err }
 
 // Line returns the 1-based number of the last line read.
@@ -147,34 +145,34 @@ func parseAccessLine(b []byte, line int) (req Request, ok bool, err error) {
 	}
 	slot, j, numOK := parseUint(b, i)
 	if !numOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad slot %q (want non-negative integer)", field(b, i))}
+		return Request{}, false, parseErr(line, i+1, "bad slot %q (want non-negative integer)", field(b, i))
 	}
 	req.Slot = slot
 
 	i = skipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
-		return Request{}, false, &ParseError{Line: line, Col: 0, Msg: "missing operation"}
+		return Request{}, false, parseErr(line, 0, "missing operation")
 	}
 	j = endOfField(b, i)
 	w, opOK := parseAccessOp(b[i:j])
 	if !opOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("unknown operation %q (want r or w)", field(b, i))}
+		return Request{}, false, parseErr(line, i+1, "unknown operation %q (want r or w)", field(b, i))
 	}
 	req.Write = w
 
 	i = skipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
-		return Request{}, false, &ParseError{Line: line, Col: 0, Msg: "missing address"}
+		return Request{}, false, parseErr(line, 0, "missing address")
 	}
 	addr, j, addrOK := parseAddr(b, i)
 	if !addrOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad address %q (want non-negative integer, decimal or 0x hex)", field(b, i))}
+		return Request{}, false, parseErr(line, i+1, "bad address %q (want non-negative integer, decimal or 0x hex)", field(b, i))
 	}
 	req.Addr = addr
 
 	i = skipSpace(b, j)
 	if i < len(b) && b[i] != '#' {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("trailing field %q (want <slot> <r|w> <addr>)", field(b, i))}
+		return Request{}, false, parseErr(line, i+1, "trailing field %q (want <slot> <r|w> <addr>)", field(b, i))
 	}
 	return req, true, nil
 }

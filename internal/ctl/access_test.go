@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"drampower/internal/desc"
 )
 
 func scanAll(t *testing.T, src Source) []Request {
@@ -160,9 +162,9 @@ func TestScannerErrors(t *testing.T) {
 			sc := NewScanner(strings.NewReader(tc.in))
 			for sc.Scan() {
 			}
-			var pe *ParseError
+			var pe *desc.ParseError
 			if !errors.As(sc.Err(), &pe) {
-				t.Fatalf("got %v, want *ParseError", sc.Err())
+				t.Fatalf("got %v, want *desc.ParseError", sc.Err())
 			}
 			if pe.Line != tc.line || !strings.Contains(pe.Msg, tc.substr) {
 				t.Fatalf("got line %d %q, want line %d containing %q", pe.Line, pe.Msg, tc.line, tc.substr)
@@ -176,6 +178,18 @@ func TestScannerErrors(t *testing.T) {
 	}
 	if !errors.Is(sc.Err(), boom) {
 		t.Fatalf("reader error not wrapped: %v", sc.Err())
+	}
+}
+
+// A stream cut mid-line reports the reader's failure, not the syntax of
+// the unterminated tail bufio.Scanner hands out before it.
+func TestScannerCutLineReportsReaderError(t *testing.T) {
+	cause := errors.New("body too large")
+	sc := NewScanner(io.MultiReader(strings.NewReader("0 r 0x10\n5 r"), iotest.ErrReader(cause)))
+	for sc.Scan() {
+	}
+	if !errors.Is(sc.Err(), cause) {
+		t.Fatalf("error %v does not unwrap to the reader error", sc.Err())
 	}
 }
 
@@ -199,9 +213,9 @@ func TestBinaryScannerErrors(t *testing.T) {
 			sc := NewBinaryScanner(bytes.NewReader(tc.in))
 			for sc.Scan() {
 			}
-			var pe *ParseError
+			var pe *desc.ParseError
 			if !errors.As(sc.Err(), &pe) {
-				t.Fatalf("got %v, want *ParseError", sc.Err())
+				t.Fatalf("got %v, want *desc.ParseError", sc.Err())
 			}
 			if !strings.Contains(pe.Msg, tc.substr) {
 				t.Fatalf("got %q, want substring %q", pe.Msg, tc.substr)

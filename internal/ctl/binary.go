@@ -17,9 +17,13 @@ package ctl
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+
+	"drampower/internal/desc"
 )
 
 // accessMagic is the .dab header: sentinel byte, format name, version.
@@ -35,21 +39,9 @@ const accessFlagWrite = 0x01
 // accessFlagReserved masks the bits that must be zero in this version.
 const accessFlagReserved = ^byte(accessFlagWrite)
 
-// zigzag folds signed deltas into unsigned varint space: 0, -1, 1, -2 ->
-// 0, 1, 2, 3.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag inverts zigzag.
+// unzigzag inverts the zigzag fold of binary.AppendVarint: 0, 1, 2, 3
+// -> 0, -1, 1, -2.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// appendUvarint is binary.AppendUvarint without the import.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
 
 // BinaryWriter encodes requests into the .dab format. The header is
 // written lazily on the first request (or by Flush for an empty trace).
@@ -96,8 +88,8 @@ func (bw *BinaryWriter) Write(r Request) error {
 		flags = accessFlagWrite
 	}
 	b := append(bw.buf[:0], flags)
-	b = appendUvarint(b, zigzag(r.Slot-bw.lastSlot))
-	b = appendUvarint(b, zigzag(r.Addr-bw.lastAddr))
+	b = binary.AppendVarint(b, r.Slot-bw.lastSlot)
+	b = binary.AppendVarint(b, r.Addr-bw.lastAddr)
 	bw.buf = b
 	bw.lastSlot, bw.lastAddr = r.Slot, r.Addr
 	if _, err := bw.w.Write(b); err != nil {
@@ -136,7 +128,7 @@ func WriteBinaryAccessTrace(w io.Writer, reqs []Request) error {
 }
 
 // BinaryScanner decodes a .dab stream. Errors are positioned by request
-// ordinal (reported in ParseError.Line, Col zero), matching the text
+// ordinal (reported in desc.ParseError.Line, Col zero), matching the text
 // scanner's contract closely enough that callers handle both uniformly.
 type BinaryScanner struct {
 	r        *bufio.Reader
@@ -155,7 +147,7 @@ func NewBinaryScanner(r io.Reader) *BinaryScanner {
 }
 
 func (bs *BinaryScanner) fail(msg string, err error) bool {
-	bs.err = &ParseError{Line: bs.n + 1, Msg: msg, err: err}
+	bs.err = &desc.ParseError{Kind: "access", Line: bs.n + 1, Msg: msg, Err: err}
 	return false
 }
 
@@ -246,29 +238,9 @@ func (bs *BinaryScanner) varint() (int64, bool) {
 // Request returns the request of the last successful Scan.
 func (bs *BinaryScanner) Request() Request { return bs.req }
 
-// Err returns the first error encountered (a *ParseError), or nil after
-// a clean end of stream.
+// Err returns the first error encountered (a *desc.ParseError), or nil
+// after a clean end of stream.
 func (bs *BinaryScanner) Err() error { return bs.err }
-
-// oneByteReader replays a sniffed first byte ahead of the rest of the
-// stream.
-type oneByteReader struct {
-	b    byte
-	done bool
-	r    io.Reader
-}
-
-func (o *oneByteReader) Read(p []byte) (int, error) {
-	if !o.done {
-		if len(p) == 0 {
-			return 0, nil
-		}
-		o.done = true
-		p[0] = o.b
-		return 1, nil
-	}
-	return o.r.Read(p)
-}
 
 // errSource is a Source that failed before producing any request.
 type errSource struct{ err error }
@@ -291,9 +263,9 @@ func NewAccessSource(r io.Reader) Source {
 		if err == nil || errors.Is(err, io.EOF) {
 			return NewScanner(r)
 		}
-		return &errSource{err: &ParseError{Line: 1, Msg: err.Error(), err: err}}
+		return &errSource{err: streamErr(1, err)}
 	}
-	rest := &oneByteReader{b: first[0], r: r}
+	rest := io.MultiReader(bytes.NewReader(first[:]), r) // replay the sniffed byte
 	if first[0] == AccessBinaryMagicByte {
 		return NewBinaryScanner(rest)
 	}

@@ -284,9 +284,9 @@ func TestScheduleErrors(t *testing.T) {
 	if _, err := NewController(m, Options{Map: "ro:ba:co"}); err == nil {
 		t.Fatal("3-field map accepted")
 	}
-	// A parse error in the access stream propagates as *ParseError.
+	// A parse error in the access stream propagates as *desc.ParseError.
 	_, _, err = Schedule(m, strings.NewReader("0 q 12\n"), Options{})
-	var pe *ParseError
+	var pe *desc.ParseError
 	if !errors.As(err, &pe) || pe.Line != 1 {
 		t.Fatalf("bad op: got %v", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"drampower/internal/desc"
 )
 
 // convertAccessTrace renders a text access trace in the .dab binary
@@ -30,7 +32,7 @@ func convertAccessTrace(f *testing.F, text []byte) []byte {
 // FuzzAccessScanner drives both access-trace parsers through the
 // sniffing NewAccessSource with mutated inputs, seeded from the testdata
 // sample (text and converted binary) plus handcrafted edge cases. The
-// parsers must never panic, must only fail with positioned *ParseError,
+// parsers must never panic, must only fail with positioned *desc.ParseError,
 // and every accepted request stream must survive its format's canonical
 // round-trip.
 func FuzzAccessScanner(f *testing.F) {
@@ -61,7 +63,7 @@ func FuzzAccessScanner(f *testing.F) {
 			}
 		}
 		if err := src.Err(); err != nil {
-			var pe *ParseError
+			var pe *desc.ParseError
 			if !errors.As(err, &pe) {
 				t.Fatalf("non-positioned scanner error %T: %v", err, err)
 			}

@@ -6,10 +6,9 @@ package ctl
 // (trace.ReplaySource) — a demultiplexer goroutine fills round N+1 with
 // per-channel request batches while the batch engine schedules round N's
 // channels and hands each channel's commands to the sink, the two rounds
-// double-buffered through a 2-slot free/full ring. Peak memory is
-// O(round), not O(trace); with a trace.Replayer as the sink, scheduling
-// and energy accounting overlap and the merged command slice never
-// exists.
+// double-buffered through the pipe.Run ring. Peak memory is O(round),
+// not O(trace); with a trace.Replayer as the sink, scheduling and energy
+// accounting overlap and the merged command slice never exists.
 //
 // Determinism carries over from the sharded Schedule path: each
 // channel's command sequence is independent of round boundaries (the
@@ -26,6 +25,7 @@ import (
 
 	"drampower/internal/core"
 	"drampower/internal/engine"
+	"drampower/internal/pipe"
 	"drampower/internal/trace"
 )
 
@@ -86,16 +86,7 @@ func getSchedRound(channels int) *schedRound {
 		r.reqs = append(r.reqs, nil)
 	}
 	r.reqs = r.reqs[:channels]
-	r.reset()
 	return r
-}
-
-// reset clears a round for refilling, keeping allocated capacity.
-func (r *schedRound) reset() {
-	for i := range r.reqs {
-		r.reqs[i] = r.reqs[i][:0]
-	}
-	r.n, r.err = 0, nil
 }
 
 // cmdBufs recycles the per-channel command batch buffers across
@@ -103,18 +94,29 @@ func (r *schedRound) reset() {
 // fused path's per-call allocations to the controller itself.
 var cmdBufsPool = sync.Pool{New: func() any { return new([][]trace.Command) }}
 
-// fillSchedRound demultiplexes up to schedBatch requests into rnd,
-// reporting whether the stream is exhausted (end of input or error —
-// the round still carries the valid prefix demultiplexed before the
-// error, which is scheduled for stats parity with the serial path).
-func (c *Controller) fillSchedRound(src Source, rnd *schedRound, last *int64, idx *int) (terminal bool) {
+// fillSchedRound refills rnd (keeping its allocated capacity) with up to
+// schedBatch demultiplexed requests, reporting whether the stream is
+// exhausted (end of input or error — the round still carries the valid
+// prefix demultiplexed before the error, which is scheduled for stats
+// parity with the serial path). The demux position (*lastp, *idxp) is
+// carried in locals and written back once per round: it lives on the
+// heap, captured by the ring's fill closure, and per-request stores to
+// it there made the fused benchmark 6-11% slower in paired runs on two
+// vCPUs.
+func (c *Controller) fillSchedRound(src Source, rnd *schedRound, lastp *int64, idxp *int) (terminal bool) {
+	for i := range rnd.reqs {
+		rnd.reqs[i] = rnd.reqs[i][:0]
+	}
+	rnd.n, rnd.err = 0, nil
+	last, idx := *lastp, *idxp
+	defer func() { *lastp, *idxp = last, idx }()
 	for rnd.n < schedBatch {
 		if !src.Scan() {
 			rnd.err = src.Err()
 			return true
 		}
 		req := src.Request()
-		co, err := c.checkAndMap(req, *idx, last)
+		co, err := c.checkAndMap(req, idx, &last)
 		if err != nil {
 			rnd.err = err
 			return true
@@ -122,7 +124,7 @@ func (c *Controller) fillSchedRound(src Source, rnd *schedRound, last *int64, id
 		rnd.reqs[co.Channel] = append(rnd.reqs[co.Channel],
 			mappedReq{slot: req.Slot, row: int32(co.Row), bank: int32(co.Bank), write: req.Write})
 		rnd.n++
-		*idx++
+		idx++
 	}
 	return false
 }
@@ -156,44 +158,7 @@ func (c *Controller) ScheduleInto(src Source, sink Sink) (Stats, error) {
 	}()
 
 	rndA, rndB := getSchedRound(channels), getSchedRound(channels)
-	free := make(chan *schedRound, 2)
-	full := make(chan *schedRound, 2)
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	free <- rndA
-	free <- rndB
-
-	// Demultiplexer: pull an empty round from the ring, fill it from the
-	// source, hand it over. Only this goroutine touches src.
-	go func() {
-		defer close(done)
-		defer close(full)
-		var last int64 = -1
-		idx := 0
-		for {
-			var rnd *schedRound
-			select {
-			case rnd = <-free:
-			case <-quit:
-				return
-			}
-			rnd.reset()
-			terminal := c.fillSchedRound(src, rnd, &last, &idx)
-			select {
-			case full <- rnd:
-			case <-quit:
-				return
-			}
-			if terminal {
-				return
-			}
-		}
-	}()
 	defer func() {
-		// On every exit: stop the demultiplexer, then reclaim both rounds
-		// (the channel handoffs order its writes before this point).
-		close(quit)
-		<-done
 		schedRoundPool.Put(rndA)
 		schedRoundPool.Put(rndB)
 	}()
@@ -214,19 +179,24 @@ func (c *Controller) ScheduleInto(src Source, sink Sink) (Stats, error) {
 		return sink.Consume(i, ch.cmds), nil
 	}
 
-	for rnd := range full {
+	// The demux position lives with the fill side of the ring: only the
+	// producer goroutine touches src, last and idx.
+	var last int64 = -1
+	idx := 0
+	fill := func(rnd *schedRound) bool { return c.fillSchedRound(src, rnd, &last, &idx) }
+	err := pipe.Run(rndA, rndB, fill, func(rnd *schedRound) error {
 		if rnd.n > 0 {
 			sinkErrs, _ := engine.Map(rnd.reqs, issue, eo)
 			for _, err := range sinkErrs {
 				if err != nil {
-					return c.sumStats(), err
+					return err
 				}
 			}
 		}
-		if rnd.err != nil {
-			return c.sumStats(), rnd.err
-		}
-		free <- rnd
+		return rnd.err
+	})
+	if err != nil {
+		return c.sumStats(), err
 	}
 
 	// Clean end of stream: retire the refresh debt (the one cross-channel

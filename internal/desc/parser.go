@@ -12,26 +12,43 @@ import (
 )
 
 // ParseError reports a syntax or semantic problem at a specific input
-// position. Line is 1-based; Col is the 1-based column of the offending
-// token, or 0 when the problem concerns the whole line. Parse, ParseString
-// and ParseFile surface it (possibly wrapped with the file path), so
-// callers recover the position with errors.As:
+// position, for every input surface: descriptions, command traces and
+// access traces. Line is 1-based (for binary traces, the ordinal of the
+// offending record); Col is the 1-based column of the offending token,
+// or 0 when the problem concerns the whole line or record. Kind names the
+// input ("trace", "access"); empty means a description. Parse, ParseString
+// and ParseFile, like the trace and access scanners, surface it (possibly
+// wrapped with the file path), so callers recover the position with
+// errors.As:
 //
 //	var pe *desc.ParseError
 //	if errors.As(err, &pe) { editor.Jump(pe.Line, pe.Col) }
 type ParseError struct {
+	Kind string
 	Line int
 	Col  int
 	Msg  string
+	// Err is the reader error behind a stream failure, when the input
+	// itself failed rather than its syntax; nil for ordinary parse errors.
+	Err error
 }
 
 // Error implements the error interface.
 func (e *ParseError) Error() string {
-	if e.Col > 0 {
-		return fmt.Sprintf("desc: line %d, col %d: %s", e.Line, e.Col, e.Msg)
+	kind := e.Kind
+	if kind == "" {
+		kind = "desc"
 	}
-	return fmt.Sprintf("desc: line %d: %s", e.Line, e.Msg)
+	if e.Col > 0 {
+		return fmt.Sprintf("%s: line %d, col %d: %s", kind, e.Line, e.Col, e.Msg)
+	}
+	return fmt.Sprintf("%s: line %d: %s", kind, e.Line, e.Msg)
 }
+
+// Unwrap exposes the reader error behind a stream failure, so callers can
+// errors.Is/As through the positioned wrapper (e.g. to tell a cancelled
+// context or an http.MaxBytesError apart from genuinely bad input).
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // errMsg formats a ParseError message, dropping a leading "desc: " from
 // embedded errors so Error() doesn't render the package prefix twice.

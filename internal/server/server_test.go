@@ -474,7 +474,7 @@ func TestQueueWaitAdmitsWhenSlotFrees(t *testing.T) {
 func TestTraceTimeoutMidStreamReturns504(t *testing.T) {
 	// The per-request deadline firing in the middle of a streamed trace
 	// body must be reported as a 504 timeout, not a 400 parse error: the
-	// scanner wraps the context error in a positioned trace.ParseError,
+	// scanner wraps the context error in a positioned desc.ParseError,
 	// and writeParseAwareError has to see through the wrapper.
 	_, hs := newTestServer(t, Options{RequestTimeout: 100 * time.Millisecond})
 	pr, pw := io.Pipe()

@@ -31,6 +31,8 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -63,19 +65,16 @@ const (
 	opMask       = 0x0F
 )
 
-// zigzag folds a signed value into an unsigned varint payload so small
-// negative deltas stay short.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag is the inverse of zigzag.
+// unzigzag inverts the zigzag fold of binary.AppendVarint, which keeps
+// small negative deltas short.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // BinaryScanner streams commands from a dtb-encoded trace. It mirrors the
 // text Scanner's interface (Scan/Command/Err) and allocation discipline:
 // after construction the accept path performs no heap allocations —
 // commands decode straight out of a fixed refill buffer. Errors are
-// *ParseError like the text scanner's; for binary input Line carries the
-// 1-based ordinal of the offending command and Col is zero.
+// *desc.ParseError like the text scanner's; for binary input Line carries
+// the 1-based ordinal of the offending command and Col is zero.
 type BinaryScanner struct {
 	r        io.Reader
 	buf      []byte
@@ -96,7 +95,7 @@ func NewBinaryScanner(r io.Reader) *BinaryScanner {
 
 // fail records a positioned decode error at the current command ordinal.
 func (sc *BinaryScanner) fail(format string, args ...any) bool {
-	sc.err = &ParseError{Line: int(sc.n + 1), Msg: fmt.Sprintf(format, args...)}
+	sc.err = parseErr(int(sc.n+1), 0, format, args...)
 	return false
 }
 
@@ -116,7 +115,7 @@ func (sc *BinaryScanner) fill() {
 			return
 		}
 		if err != nil {
-			sc.err = &ParseError{Line: int(sc.n + 1), Msg: err.Error(), err: err}
+			sc.err = streamErr(int(sc.n+1), err)
 			return
 		}
 	}
@@ -334,8 +333,8 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 // Command returns the command of the last successful Scan.
 func (sc *BinaryScanner) Command() Command { return sc.cmd }
 
-// Err returns the first error encountered (a *ParseError), or nil after a
-// clean end of input.
+// Err returns the first error encountered (a *desc.ParseError), or nil
+// after a clean end of input.
 func (sc *BinaryScanner) Err() error { return sc.err }
 
 // Commands returns the number of commands decoded so far.
@@ -357,16 +356,6 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	bw := &BinaryWriter{w: bufio.NewWriter(w)}
 	_, bw.err = bw.w.Write(append(dtbMagic[:len(dtbMagic):len(dtbMagic)], dtbVersion))
 	return bw
-}
-
-// appendVarint appends the zigzag varint encoding of v to dst.
-func appendVarint(dst []byte, v int64) []byte {
-	u := zigzag(v)
-	for u >= 0x80 {
-		dst = append(dst, byte(u)|0x80)
-		u >>= 7
-	}
-	return append(dst, byte(u))
 }
 
 // WriteCommand appends one command to the stream. Commands with negative
@@ -392,12 +381,12 @@ func (bw *BinaryWriter) WriteCommand(c Command) error {
 		h |= flagRow
 	}
 	buf := append(bw.buf[:0], h)
-	buf = appendVarint(buf, c.Slot-bw.prev)
+	buf = binary.AppendVarint(buf, c.Slot-bw.prev)
 	if c.Bank != 0 {
-		buf = appendVarint(buf, int64(c.Bank))
+		buf = binary.AppendVarint(buf, int64(c.Bank))
 	}
 	if c.Row != 0 {
-		buf = appendVarint(buf, int64(c.Row))
+		buf = binary.AppendVarint(buf, int64(c.Row))
 	}
 	if _, err := bw.w.Write(buf); err != nil {
 		bw.err = err
@@ -471,26 +460,11 @@ func NewSource(r io.Reader) Source {
 		}
 		return NewScanner(&errReader{err: err})
 	}
-	rest := io.MultiReader(&oneByteReader{b: first[0]}, r)
+	rest := io.MultiReader(bytes.NewReader(first[:]), r) // replay the sniffed byte
 	if first[0] == dtbMagic[0] {
 		return NewBinaryScanner(rest)
 	}
 	return NewScanner(rest)
-}
-
-// oneByteReader replays the sniffed byte ahead of the rest of the stream.
-type oneByteReader struct {
-	b    byte
-	done bool
-}
-
-func (o *oneByteReader) Read(p []byte) (int, error) {
-	if o.done || len(p) == 0 {
-		return 0, io.EOF
-	}
-	o.done = true
-	p[0] = o.b
-	return 1, nil
 }
 
 // errReader surfaces a sniff-time read error through the scanner's

@@ -188,9 +188,9 @@ func TestBinaryScannerErrors(t *testing.T) {
 			for sc.Scan() {
 			}
 			err := sc.Err()
-			var pe *ParseError
+			var pe *desc.ParseError
 			if !errors.As(err, &pe) {
-				t.Fatalf("error is %T (%v), want *ParseError", err, err)
+				t.Fatalf("error is %T (%v), want *desc.ParseError", err, err)
 			}
 			if pe.Line < 1 {
 				t.Errorf("error ordinal %d, want >= 1", pe.Line)
@@ -221,9 +221,9 @@ func TestBinaryScannerErrorOrdinal(t *testing.T) {
 	for sc.Scan() {
 		n++
 	}
-	var pe *ParseError
+	var pe *desc.ParseError
 	if !errors.As(sc.Err(), &pe) {
-		t.Fatalf("error is %T (%v), want *ParseError", sc.Err(), sc.Err())
+		t.Fatalf("error is %T (%v), want *desc.ParseError", sc.Err(), sc.Err())
 	}
 	if n != 3 || pe.Line != 4 {
 		t.Errorf("scanned %d commands with error at ordinal %d, want 3 and 4", n, pe.Line)
@@ -297,15 +297,15 @@ func TestReplayBinaryBankOutOfRange(t *testing.T) {
 	}
 }
 
-// A truncated binary body surfaces as a positioned *ParseError through
+// A truncated binary body surfaces as a positioned *desc.ParseError through
 // Replay, like bad trace text does.
 func TestReplayBinaryTruncated(t *testing.T) {
 	m := model(t)
 	data := binData(t, []Command{{Slot: 0, Op: desc.OpActivate, Bank: 0, Row: 1}})
 	_, err := Replay(m, bytes.NewReader(data[:len(data)-1]), ReplayOptions{})
-	var pe *ParseError
+	var pe *desc.ParseError
 	if !errors.As(err, &pe) {
-		t.Fatalf("error is %T (%v), want *ParseError", err, err)
+		t.Fatalf("error is %T (%v), want *desc.ParseError", err, err)
 	}
 }
 
@@ -324,7 +324,7 @@ func TestBinaryDensity(t *testing.T) {
 func TestInterleaveChunked(t *testing.T) {
 	// Regression guard for the sniffing reader composition: a reader
 	// delivering one byte at a time must still decode correctly through
-	// NewSource (exercises oneByteReader + refill logic).
+	// NewSource (exercises the sniffed-byte replay + refill logic).
 	cmds := []Command{{Slot: 3, Op: desc.OpActivate, Bank: 1, Row: 2}, {Slot: 8, Op: desc.OpRead, Bank: 1, Row: 2}}
 	for name, data := range map[string][]byte{"binary": binData(t, cmds), "text": traceText(t, cmds)} {
 		got := scanAll(t, NewSource(iotest_oneByte{bytes.NewReader(data)}))

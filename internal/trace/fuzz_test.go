@@ -12,7 +12,7 @@ import (
 
 // FuzzTraceScanner drives the streaming trace scanner with mutated
 // inputs, seeded from generated workloads and edge-case lines. The
-// scanner must never panic, must only fail with positioned *ParseError,
+// scanner must never panic, must only fail with positioned *desc.ParseError,
 // and every accepted command must survive the AppendCommand round-trip
 // (the canonical rendering reparses to the same command).
 func FuzzTraceScanner(f *testing.F) {
@@ -42,7 +42,7 @@ func FuzzTraceScanner(f *testing.F) {
 			}
 		}
 		if err := sc.Err(); err != nil {
-			var pe *ParseError
+			var pe *desc.ParseError
 			if !errors.As(err, &pe) {
 				t.Fatalf("non-positioned scanner error %T: %v", err, err)
 			}
@@ -92,7 +92,7 @@ func convertTextTrace(f *testing.F, text []byte) []byte {
 // FuzzBinaryScanner drives the dtb binary scanner with mutated inputs,
 // seeded from converted testdata traces, generated workloads (including
 // the power-state commands) and handcrafted edge cases. The scanner must
-// never panic, must only fail with positioned *ParseError (ordinal >= 1),
+// never panic, must only fail with positioned *desc.ParseError (ordinal >= 1),
 // and every accepted command stream must survive the BinaryWriter
 // round-trip bit-identically — the binary counterpart of the text
 // scanner's canonical-rendering property.
@@ -130,7 +130,7 @@ func FuzzBinaryScanner(f *testing.F) {
 			}
 		}
 		if err := sc.Err(); err != nil {
-			var pe *ParseError
+			var pe *desc.ParseError
 			if !errors.As(err, &pe) {
 				t.Fatalf("non-positioned scanner error %T: %v", err, err)
 			}

@@ -20,6 +20,7 @@ import (
 	"drampower/internal/core"
 	"drampower/internal/desc"
 	"drampower/internal/engine"
+	"drampower/internal/pipe"
 	"drampower/internal/units"
 )
 
@@ -106,23 +107,18 @@ func getRound(channels int) *roundBuf {
 		b.shards = append(b.shards, nil)
 	}
 	b.shards = b.shards[:channels]
-	b.reset()
 	return b
 }
 
-// reset clears a round for refilling, keeping the allocated capacity.
-func (b *roundBuf) reset() {
-	for i := range b.shards {
-		b.shards[i] = b.shards[i][:0]
-	}
-	b.n, b.err, b.abort = 0, nil, false
-}
-
-// fillRound decodes the next round from src into buf and shards it by
-// global bank index. It reports whether the stream is exhausted (end of
-// input, parse error, or shard-range error) — the caller stops asking for
-// rounds once true.
+// fillRound refills buf (keeping its allocated capacity) with the next
+// round decoded from src, sharded by global bank index. It reports
+// whether the stream is exhausted (end of input, parse error, or
+// shard-range error) — the caller stops asking for rounds once true.
 func (r *Replayer) fillRound(src Source, buf *roundBuf) (terminal bool) {
+	for i := range buf.shards {
+		buf.shards[i] = buf.shards[i][:0]
+	}
+	buf.err, buf.abort = nil, false
 	n := 0
 	if bs, ok := src.(batchSource); ok {
 		n = bs.ScanBatch(buf.slab)
@@ -163,10 +159,11 @@ func (r *Replayer) fillRound(src Source, buf *roundBuf) (terminal bool) {
 // decode and simulation pipelined: a decoder goroutine fills round N+1
 // (bulk-decoding and sharding up to replayBatch commands by global bank
 // index) while the engine issues round N's per-channel batches, the two
-// rounds double-buffered through a 2-slot ring. Results are identical to
-// the serial loop — rounds are issued in stream order, the per-channel
-// command sequences don't depend on pipelining, and the merge stays in
-// channel order (see DESIGN §11 for the determinism argument).
+// rounds double-buffered through the pipe.Run ring. Results are
+// identical to the serial loop — rounds are issued in stream order, the
+// per-channel command sequences don't depend on pipelining, and the
+// merge stays in channel order (see DESIGN §11 for the determinism
+// argument).
 //
 // It stops at the first parse error or timing violation; when several
 // channels of one round violate, the reported violation is the one at the
@@ -190,47 +187,12 @@ func (r *Replayer) ReplaySource(src Source) error {
 	}
 
 	bufA, bufB := getRound(len(r.sims)), getRound(len(r.sims))
-	free := make(chan *roundBuf, 2)
-	full := make(chan *roundBuf, 2)
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	free <- bufA
-	free <- bufB
-
-	// Decoder: pull an empty round from the ring, fill it from the
-	// source, hand it to the consumer. Only this goroutine touches src.
-	go func() {
-		defer close(done)
-		defer close(full)
-		for {
-			var buf *roundBuf
-			select {
-			case buf = <-free:
-			case <-quit:
-				return
-			}
-			buf.reset()
-			terminal := r.fillRound(src, buf)
-			select {
-			case full <- buf:
-			case <-quit:
-				return
-			}
-			if terminal {
-				return
-			}
-		}
-	}()
 	defer func() {
-		// On every exit: stop the decoder, then reclaim both rounds (the
-		// channel handoffs order all decoder writes before this point).
-		close(quit)
-		<-done
 		roundPool.Put(bufA)
 		roundPool.Put(bufB)
 	}()
-
-	for buf := range full {
+	fill := func(buf *roundBuf) bool { return r.fillRound(src, buf) }
+	return pipe.Run(bufA, bufB, fill, func(buf *roundBuf) error {
 		if buf.abort {
 			return buf.err
 		}
@@ -251,12 +213,8 @@ func (r *Replayer) ReplaySource(src Source) error {
 				return first
 			}
 		}
-		if buf.err != nil {
-			return buf.err
-		}
-		free <- buf
-	}
-	return nil
+		return buf.err
+	})
 }
 
 // ReplayScanner streams the text scanner's commands through the

@@ -141,9 +141,9 @@ func TestReplayBankOutOfRange(t *testing.T) {
 func TestReplayParseErrorPropagates(t *testing.T) {
 	m := model(t)
 	_, err := Replay(m, strings.NewReader("0 act 0 1\nbogus line\n"), ReplayOptions{})
-	var pe *ParseError
+	var pe *desc.ParseError
 	if !errors.As(err, &pe) {
-		t.Fatalf("error is %T (%v), want *ParseError", err, err)
+		t.Fatalf("error is %T (%v), want *desc.ParseError", err, err)
 	}
 	if pe.Line != 2 {
 		t.Errorf("error line: got %d, want 2", pe.Line)

@@ -35,30 +35,18 @@ import (
 	"drampower/internal/desc"
 )
 
-// ParseError reports a malformed trace line at a specific input position.
-// It mirrors the shape of desc.ParseError — Line is 1-based, Col the
-// 1-based byte column of the offending field, 0 for whole-line problems —
-// so tooling can surface description and trace errors uniformly.
-type ParseError struct {
-	Line int
-	Col  int
-	Msg  string
-	err  error // underlying reader error, when the input itself failed
+// parseErr returns a positioned trace-input error (a *desc.ParseError
+// of Kind "trace"): Line is 1-based, Col the 1-based byte column of the
+// offending field, 0 for whole-line problems.
+func parseErr(line, col int, format string, args ...any) error {
+	return &desc.ParseError{Kind: "trace", Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Error implements the error interface.
-func (e *ParseError) Error() string {
-	if e.Col > 0 {
-		return fmt.Sprintf("trace: line %d, col %d: %s", e.Line, e.Col, e.Msg)
-	}
-	return fmt.Sprintf("trace: line %d: %s", e.Line, e.Msg)
+// streamErr wraps a reader failure at the given line in a positioned
+// trace-input error that unwraps to it.
+func streamErr(line int, err error) error {
+	return &desc.ParseError{Kind: "trace", Line: line, Msg: err.Error(), Err: err}
 }
-
-// Unwrap exposes the reader error behind a stream failure, so callers can
-// errors.Is/As through the positioned wrapper (e.g. to tell a cancelled
-// context or an http.MaxBytesError apart from genuinely bad trace text).
-// It is nil for ordinary syntax errors.
-func (e *ParseError) Unwrap() error { return e.err }
 
 // maxLineBytes bounds a single trace line; a well-formed line is a few
 // dozen bytes, so the cap only guards against pathological input.
@@ -102,6 +90,12 @@ func (sc *Scanner) Scan() bool {
 		sc.line++
 		cmd, ok, err := parseLine(sc.s.Bytes(), sc.line)
 		if err != nil {
+			// bufio.Scanner hands out the unterminated tail of a failed
+			// read as a last line: if the stream fails right after the bad
+			// line, the cut (a body cap, a timeout) is the error to report.
+			if !sc.s.Scan() && sc.s.Err() != nil {
+				err = streamErr(sc.line, sc.s.Err())
+			}
 			sc.err = err
 			return false
 		}
@@ -111,7 +105,7 @@ func (sc *Scanner) Scan() bool {
 		}
 	}
 	if err := sc.s.Err(); err != nil {
-		sc.err = &ParseError{Line: sc.line + 1, Msg: err.Error(), err: err}
+		sc.err = streamErr(sc.line+1, err)
 	}
 	return false
 }
@@ -119,8 +113,8 @@ func (sc *Scanner) Scan() bool {
 // Command returns the command of the last successful Scan.
 func (sc *Scanner) Command() Command { return sc.cmd }
 
-// Err returns the first error encountered (a *ParseError), or nil after a
-// clean end of input.
+// Err returns the first error encountered (a *desc.ParseError), or nil
+// after a clean end of input.
 func (sc *Scanner) Err() error { return sc.err }
 
 // Line returns the 1-based number of the last line read.
@@ -135,21 +129,21 @@ func parseLine(b []byte, line int) (cmd Command, ok bool, err error) {
 	}
 	slot, j, numOK := parseInt(b, i)
 	if !numOK {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad slot %q (want integer)", field(b, i))}
+		return Command{}, false, parseErr(line, i+1, "bad slot %q (want integer)", field(b, i))
 	}
 	if slot < 0 {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("negative slot %d", slot)}
+		return Command{}, false, parseErr(line, i+1, "negative slot %d", slot)
 	}
 	cmd.Slot = slot
 
 	i = skipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
-		return Command{}, false, &ParseError{Line: line, Col: 0, Msg: "missing operation"}
+		return Command{}, false, parseErr(line, 0, "missing operation")
 	}
 	j = endOfField(b, i)
 	op, opOK := parseOpBytes(b[i:j])
 	if !opOK {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("unknown operation %q (want nop, act, pre, rd, wrt, ref, pde, pdx, sre or srx)", field(b, i))}
+		return Command{}, false, parseErr(line, i+1, "unknown operation %q (want nop, act, pre, rd, wrt, ref, pde, pdx, sre or srx)", field(b, i))
 	}
 	cmd.Op = op
 
@@ -157,7 +151,7 @@ func parseLine(b []byte, line int) (cmd Command, ok bool, err error) {
 	if i < len(b) && b[i] != '#' {
 		bank, k, bankOK := parseInt(b, i)
 		if !bankOK {
-			return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad bank %q (want integer)", field(b, i))}
+			return Command{}, false, parseErr(line, i+1, "bad bank %q (want integer)", field(b, i))
 		}
 		cmd.Bank = int(bank)
 		i = skipSpace(b, k)
@@ -165,13 +159,13 @@ func parseLine(b []byte, line int) (cmd Command, ok bool, err error) {
 	if i < len(b) && b[i] != '#' {
 		row, k, rowOK := parseInt(b, i)
 		if !rowOK {
-			return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad row %q (want integer)", field(b, i))}
+			return Command{}, false, parseErr(line, i+1, "bad row %q (want integer)", field(b, i))
 		}
 		cmd.Row = int(row)
 		i = skipSpace(b, k)
 	}
 	if i < len(b) && b[i] != '#' {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("trailing field %q (want <slot> <op> [<bank> [<row>]])", field(b, i))}
+		return Command{}, false, parseErr(line, i+1, "trailing field %q (want <slot> <op> [<bank> [<row>]])", field(b, i))
 	}
 	return cmd, true, nil
 }

@@ -94,9 +94,9 @@ func TestScannerErrors(t *testing.T) {
 			if err == nil {
 				t.Fatalf("expected error containing %q, got nil", c.wantSub)
 			}
-			var pe *ParseError
+			var pe *desc.ParseError
 			if !errors.As(err, &pe) {
-				t.Fatalf("error is %T, want *ParseError", err)
+				t.Fatalf("error is %T, want *desc.ParseError", err)
 			}
 			if pe.Line != c.wantLine || pe.Col != c.wantCol {
 				t.Errorf("position: got line %d col %d, want line %d col %d (%v)",
@@ -142,9 +142,9 @@ func TestScannerReaderErrorUnwraps(t *testing.T) {
 		t.Fatalf("scanned %d commands before the failure, want 1", n)
 	}
 	err := sc.Err()
-	var pe *ParseError
+	var pe *desc.ParseError
 	if !errors.As(err, &pe) {
-		t.Fatalf("error is %T, want *ParseError", err)
+		t.Fatalf("error is %T, want *desc.ParseError", err)
 	}
 	if pe.Line != 2 {
 		t.Errorf("failure position: line %d, want 2", pe.Line)
@@ -157,10 +157,27 @@ func TestScannerReaderErrorUnwraps(t *testing.T) {
 	for sc.Scan() {
 	}
 	if !errors.As(sc.Err(), &pe) {
-		t.Fatalf("syntax error is %T, want *ParseError", sc.Err())
+		t.Fatalf("syntax error is %T, want *desc.ParseError", sc.Err())
 	}
 	if pe.Unwrap() != nil {
 		t.Errorf("syntax error unwraps to %v, want nil", pe.Unwrap())
+	}
+}
+
+// A stream cut mid-line leaves bufio.Scanner an unterminated tail that
+// does not parse; the reader's failure, not the tail's syntax, is the
+// error to report (a body over the server's cap is a 413, not a 400).
+func TestScannerCutLineReportsReaderError(t *testing.T) {
+	cause := errors.New("body too large")
+	sc := NewScanner(&failAfterReader{content: "0 act 0 0\n50", err: cause})
+	for sc.Scan() {
+	}
+	if !errors.Is(sc.Err(), cause) {
+		t.Fatalf("error %v does not unwrap to the reader error", sc.Err())
+	}
+	var pe *desc.ParseError
+	if !errors.As(sc.Err(), &pe) || pe.Line != 2 {
+		t.Fatalf("error %v, want a positioned error on the cut line 2", sc.Err())
 	}
 }
 

@@ -445,7 +445,7 @@ func (s *Simulator) Run(cmds []Command) error {
 }
 
 // RunStream issues every command the scanner produces, stopping at the
-// first timing violation (*TimingError) or malformed line (*ParseError).
+// first timing violation (*TimingError) or malformed line (*desc.ParseError).
 // The trace streams through the scanner's fixed buffer, so arbitrarily
 // long trace files never need to fit in memory; the energy totals are
 // identical to Run on the equivalent materialized slice.
