@@ -300,7 +300,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 	d := Sample1GbDDR3()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(d); err != nil {
+		if _, err := Sweep(d, BatchOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	d := Sample1GbDDR3()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepParallel(d, BatchOptions{}); err != nil {
+		if _, err := Sweep(d, BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -648,7 +648,7 @@ func BenchmarkScheduleReplayFused(b *testing.B) { benchScheduleReplay(b, true) }
 func BenchmarkScheduleReplayTwoPhase(b *testing.B) { benchScheduleReplay(b, false) }
 
 // BenchmarkScheduleScanAccess measures access-trace ingestion alone:
-// parsing the .dab text format without scheduling it.
+// parsing the text access-trace format without scheduling it.
 func BenchmarkScheduleScanAccess(b *testing.B) {
 	m, err := Build(Sample1GbDDR3())
 	if err != nil {

@@ -229,13 +229,24 @@ type (
 	DatasheetComparison = datasheet.Comparison
 )
 
+// BatchOptions configures the shared batch-evaluation engine behind the
+// many-model analyses: Workers is the worker-pool size (<= 0 means one
+// worker per CPU, 1 reproduces the serial evaluation exactly). Results are
+// deterministic — ordered by job, independent of the worker count.
+type BatchOptions = engine.Options
+
 // Sweep varies every model parameter by ±20 % on the given description and
-// returns the power responses sorted by impact (Figure 10, Table III).
-func Sweep(d *Description) ([]SensitivityResult, error) { return sensitivity.Sweep(d) }
+// returns the power responses sorted by impact (Figure 10, Table III). The
+// results are byte-identical for any opts.Workers.
+func Sweep(d *Description, opts BatchOptions) ([]SensitivityResult, error) {
+	return sensitivity.SweepOpts(d, opts)
+}
 
 // EvaluateSchemes runs the Section V power-reduction schemes against the
 // given baseline and reports energy-per-bit and die-area impact.
-func EvaluateSchemes(base *Description) ([]SchemeResult, error) { return schemes.Evaluate(base) }
+func EvaluateSchemes(base *Description, opts BatchOptions) ([]SchemeResult, error) {
+	return schemes.EvaluateOpts(base, opts)
+}
 
 // CompareDatasheetDDR2 regenerates the Figure 8 verification (1 Gb DDR2
 // model vs. five-vendor datasheet values).
@@ -244,29 +255,7 @@ func CompareDatasheetDDR2() ([]DatasheetComparison, error) {
 }
 
 // CompareDatasheetDDR3 regenerates the Figure 9 verification (1 Gb DDR3).
-func CompareDatasheetDDR3() ([]DatasheetComparison, error) {
-	return datasheet.Compare(datasheet.DDR3)
-}
-
-// BatchOptions configures the shared batch-evaluation engine behind the
-// *Parallel entry points: Workers is the worker-pool size (<= 0 means one
-// worker per CPU, 1 reproduces the serial evaluation exactly). Results are
-// deterministic — ordered by job, independent of the worker count.
-type BatchOptions = engine.Options
-
-// SweepParallel is Sweep on a worker pool. The results are byte-identical
-// to Sweep's for any worker count.
-func SweepParallel(d *Description, opts BatchOptions) ([]SensitivityResult, error) {
-	return sensitivity.SweepOpts(d, opts)
-}
-
-// EvaluateSchemesParallel is EvaluateSchemes on a worker pool.
-func EvaluateSchemesParallel(base *Description, opts BatchOptions) ([]SchemeResult, error) {
-	return schemes.EvaluateOpts(base, opts)
-}
-
-// CompareDatasheetDDR3Parallel is CompareDatasheetDDR3 on a worker pool.
-func CompareDatasheetDDR3Parallel(opts BatchOptions) ([]DatasheetComparison, error) {
+func CompareDatasheetDDR3(opts BatchOptions) ([]DatasheetComparison, error) {
 	return datasheet.CompareOpts(datasheet.DDR3, opts)
 }
 
@@ -364,7 +353,7 @@ func RunTrace(m *Model, cmds []Command) (TraceResult, error) {
 }
 
 // NewTraceScanner returns a streaming scanner over trace text. Feed it to
-// Simulator.RunStream or Replayer.ReplayScanner to evaluate traces of any
+// Simulator.RunStream or Replayer.ReplaySource to evaluate traces of any
 // length in constant memory.
 func NewTraceScanner(r io.Reader) *TraceScanner { return trace.NewScanner(r) }
 

@@ -1,7 +1,7 @@
 package ctl
 
-// Access-trace ingestion: the text half of the .dab format plus the
-// Source interface the scheduler consumes. An access trace is the
+// Access-trace ingestion: the text access-trace format plus the Source
+// interface the scheduler consumes. An access trace is the
 // controller-side counterpart of a command trace — timestamped read and
 // write requests against a flat physical address space, with no DRAM
 // commands in sight; the scheduler turns it into a legal command trace.
@@ -14,14 +14,14 @@ package ctl
 // runs to the end of the line, and blank lines ignored. <slot> is the
 // request's arrival time in control-clock slots; <r|w> also accepts rd,
 // wr, read and write, ASCII-case-insensitively; <addr> is a non-negative
-// flat byte^W burst address, decimal or 0x-prefixed hex.
+// flat burst address, decimal or 0x-prefixed hex.
 //
 //	# a row hit pair, then a write far away
 //	0   r 0x2400
 //	12  r 0x2401
 //	400 w 0x91f00
 //
-// The equivalent binary encoding lives in binary.go; NewAccessSource
+// The equivalent binary encoding, .dab, lives in binary.go; NewAccessSource
 // sniffs the two apart from the first byte, exactly like trace.NewSource
 // does for command traces.
 
@@ -32,6 +32,7 @@ import (
 	"strconv"
 
 	"drampower/internal/desc"
+	"drampower/internal/recio"
 )
 
 // Request is one access-trace entry: a read or write of one burst at a
@@ -59,12 +60,6 @@ func parseErr(line, col int, format string, args ...any) error {
 	return &desc.ParseError{Kind: "access", Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// streamErr wraps a reader failure at the given line or ordinal in a
-// positioned access-input error that unwraps to it.
-func streamErr(line int, err error) error {
-	return &desc.ParseError{Kind: "access", Line: line, Msg: err.Error(), Err: err}
-}
-
 // Source is a stream of access requests: the common face of the text
 // Scanner, the BinaryScanner and in-memory slices, and what the
 // scheduler consumes.
@@ -74,25 +69,19 @@ type Source interface {
 	Err() error
 }
 
-// maxLineBytes bounds a single access-trace line.
-const maxLineBytes = 1 << 16
-
 // Scanner reads an access trace from an io.Reader one line at a time,
 // with the same allocation discipline as the command-trace scanner:
 // lines tokenize in place on the bufio buffer, integers and mnemonics
 // decode without forming strings, and only error paths allocate.
 type Scanner struct {
-	s    *bufio.Scanner
-	line int
-	req  Request
-	err  error
+	in  recio.Lines
+	req Request
+	err error
 }
 
 // NewScanner returns a Scanner reading access-trace text from r.
 func NewScanner(r io.Reader) *Scanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 4096), maxLineBytes)
-	return &Scanner{s: s}
+	return &Scanner{in: recio.NewLines(r, "access")}
 }
 
 // Scan advances to the next request, skipping blank and comment lines.
@@ -102,28 +91,18 @@ func (sc *Scanner) Scan() bool {
 	if sc.err != nil {
 		return false
 	}
-	for sc.s.Scan() {
-		sc.line++
-		req, ok, err := parseAccessLine(sc.s.Bytes(), sc.line)
-		if err != nil {
-			// bufio.Scanner hands out the unterminated tail of a failed
-			// read as a last line: if the stream fails right after the bad
-			// line, the cut (a body cap, a timeout) is the error to report.
-			if !sc.s.Scan() && sc.s.Err() != nil {
-				err = streamErr(sc.line, sc.s.Err())
-			}
-			sc.err = err
-			return false
-		}
-		if ok {
-			sc.req = req
-			return true
-		}
+	b, i, ok := sc.in.Next()
+	if !ok {
+		sc.err = sc.in.Err()
+		return false
 	}
-	if err := sc.s.Err(); err != nil {
-		sc.err = streamErr(sc.line+1, err)
+	req, err := parseAccessLine(b, i, sc.in.Line())
+	if err != nil {
+		sc.err = sc.in.Reject(err)
+		return false
 	}
-	return false
+	sc.req = req
+	return true
 }
 
 // Request returns the request of the last successful Scan.
@@ -133,97 +112,41 @@ func (sc *Scanner) Request() Request { return sc.req }
 // after a clean end of input.
 func (sc *Scanner) Err() error { return sc.err }
 
-// Line returns the 1-based number of the last line read.
-func (sc *Scanner) Line() int { return sc.line }
-
-// parseAccessLine decodes one access-trace line. ok is false for blank
-// and comment-only lines.
-func parseAccessLine(b []byte, line int) (req Request, ok bool, err error) {
-	i := skipSpace(b, 0)
-	if i >= len(b) || b[i] == '#' {
-		return Request{}, false, nil
-	}
-	slot, j, numOK := parseUint(b, i)
+// parseAccessLine decodes the access-trace line b, whose first field
+// starts at i.
+func parseAccessLine(b []byte, i, line int) (req Request, err error) {
+	slot, j, numOK := recio.ParseInt(b, i, false)
 	if !numOK {
-		return Request{}, false, parseErr(line, i+1, "bad slot %q (want non-negative integer)", field(b, i))
+		return Request{}, parseErr(line, i+1, "bad slot %q (want non-negative integer)", recio.Field(b, i))
 	}
 	req.Slot = slot
 
-	i = skipSpace(b, j)
-	if i >= len(b) || b[i] == '#' {
-		return Request{}, false, parseErr(line, 0, "missing operation")
+	i = recio.SkipSpace(b, j)
+	if recio.AtEnd(b, i) {
+		return Request{}, parseErr(line, 0, "missing operation")
 	}
-	j = endOfField(b, i)
+	j = recio.EndOfField(b, i)
 	w, opOK := parseAccessOp(b[i:j])
 	if !opOK {
-		return Request{}, false, parseErr(line, i+1, "unknown operation %q (want r or w)", field(b, i))
+		return Request{}, parseErr(line, i+1, "unknown operation %q (want r or w)", recio.Field(b, i))
 	}
 	req.Write = w
 
-	i = skipSpace(b, j)
-	if i >= len(b) || b[i] == '#' {
-		return Request{}, false, parseErr(line, 0, "missing address")
+	i = recio.SkipSpace(b, j)
+	if recio.AtEnd(b, i) {
+		return Request{}, parseErr(line, 0, "missing address")
 	}
 	addr, j, addrOK := parseAddr(b, i)
 	if !addrOK {
-		return Request{}, false, parseErr(line, i+1, "bad address %q (want non-negative integer, decimal or 0x hex)", field(b, i))
+		return Request{}, parseErr(line, i+1, "bad address %q (want non-negative integer, decimal or 0x hex)", recio.Field(b, i))
 	}
 	req.Addr = addr
 
-	i = skipSpace(b, j)
-	if i < len(b) && b[i] != '#' {
-		return Request{}, false, parseErr(line, i+1, "trailing field %q (want <slot> <r|w> <addr>)", field(b, i))
+	i = recio.SkipSpace(b, j)
+	if !recio.AtEnd(b, i) {
+		return Request{}, parseErr(line, i+1, "trailing field %q (want <slot> <r|w> <addr>)", recio.Field(b, i))
 	}
-	return req, true, nil
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
-
-// skipSpace returns the index of the first non-space byte at or after i.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && isSpace(b[i]) {
-		i++
-	}
-	return i
-}
-
-// endOfField returns the index just past the field starting at i.
-func endOfField(b []byte, i int) int {
-	for i < len(b) && !isSpace(b[i]) && b[i] != '#' {
-		i++
-	}
-	return i
-}
-
-// field extracts the field starting at i for error messages (this path
-// may allocate; the accept path never calls it).
-func field(b []byte, i int) string { return string(b[i:endOfField(b, i)]) }
-
-// parseUint decodes a non-negative decimal integer field starting at i
-// without allocating. It returns the value, the index just past the
-// field, and whether the field was well formed and ended at a field
-// boundary.
-func parseUint(b []byte, i int) (int64, int, bool) {
-	j := i
-	start := j
-	var v int64
-	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-		// Bound before the multiply: v*10 can wrap past negative back
-		// into the positive range, so a post-hoc v < 0 check is not
-		// enough.
-		if v > ((1<<63-1)-9)/10 {
-			return 0, j, false // overflow
-		}
-		v = v*10 + int64(b[j]-'0')
-		j++
-	}
-	if j == start {
-		return 0, j, false
-	}
-	if j < len(b) && !isSpace(b[j]) && b[j] != '#' {
-		return 0, j, false
-	}
-	return v, j, true
+	return req, nil
 }
 
 // parseAddr decodes an address field: decimal, or hex behind 0x/0X.
@@ -243,7 +166,7 @@ func parseAddr(b []byte, i int) (int64, int, bool) {
 			case c >= 'A' && c <= 'F':
 				d = int64(c-'A') + 10
 			default:
-				if j == start || (!isSpace(c) && c != '#') {
+				if j == start || (!recio.IsSpace(c) && c != '#') {
 					return 0, j, false
 				}
 				return v, j, true
@@ -259,36 +182,18 @@ func parseAddr(b []byte, i int) (int64, int, bool) {
 		}
 		return v, j, true
 	}
-	return parseUint(b, i)
+	return recio.ParseInt(b, i, false)
 }
 
 // parseAccessOp matches a read/write mnemonic ASCII-case-insensitively.
 func parseAccessOp(b []byte) (write, ok bool) {
 	switch {
-	case eqFold(b, "r"), eqFold(b, "rd"), eqFold(b, "read"):
+	case recio.EqFold(b, "r"), recio.EqFold(b, "rd"), recio.EqFold(b, "read"):
 		return false, true
-	case eqFold(b, "w"), eqFold(b, "wr"), eqFold(b, "write"):
+	case recio.EqFold(b, "w"), recio.EqFold(b, "wr"), recio.EqFold(b, "write"):
 		return true, true
 	}
 	return false, false
-}
-
-// eqFold reports whether b equals the lower-case string s under ASCII
-// case folding, without allocating.
-func eqFold(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != s[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // AppendRequest appends the access-trace text line for r, including the

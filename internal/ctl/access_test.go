@@ -207,7 +207,7 @@ func TestBinaryScannerErrors(t *testing.T) {
 		{"truncated-record", append(append([]byte{}, hdr...), 0x01, 0x02), "truncated request record"},
 		{"negative-slot", append(append([]byte{}, hdr...), 0x00, 0x01, 0x00), "negative slot"},
 		{"negative-addr", append(append([]byte{}, hdr...), 0x00, 0x00, 0x01), "negative address"},
-		{"overlong-varint", append(append([]byte{}, hdr...), 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00), "varint"},
+		{"overlong-varint", append(append([]byte{}, hdr...), 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00), "varint overflows 64 bits"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := NewBinaryScanner(bytes.NewReader(tc.in))

@@ -17,13 +17,13 @@ package ctl
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"drampower/internal/desc"
+	"drampower/internal/recio"
 )
 
 // accessMagic is the .dab header: sentinel byte, format name, version.
@@ -205,7 +205,7 @@ func (bs *BinaryScanner) Scan() bool {
 }
 
 // varint decodes one zigzag varint, recording a positioned error on
-// truncation or overlong encodings.
+// truncation or an encoding that overflows 64 bits.
 func (bs *BinaryScanner) varint() (int64, bool) {
 	var u uint64
 	var shift uint
@@ -228,10 +228,6 @@ func (bs *BinaryScanner) varint() (int64, bool) {
 			return unzigzag(u), true
 		}
 		shift += 7
-		if shift > 63 {
-			bs.fail("varint longer than 10 bytes", nil)
-			return 0, false
-		}
 	}
 }
 
@@ -242,31 +238,13 @@ func (bs *BinaryScanner) Request() Request { return bs.req }
 // after a clean end of stream.
 func (bs *BinaryScanner) Err() error { return bs.err }
 
-// errSource is a Source that failed before producing any request.
-type errSource struct{ err error }
-
-func (e *errSource) Scan() bool       { return false }
-func (e *errSource) Request() Request { return Request{} }
-func (e *errSource) Err() error       { return e.err }
-
 // NewAccessSource sniffs the access-trace format from the first byte of
 // r and returns the matching scanner: 0xDA selects the .dab binary
 // decoder, anything else the text scanner. An empty stream is a valid
 // empty text trace.
 func NewAccessSource(r io.Reader) Source {
-	var first [1]byte
-	n, err := r.Read(first[:])
-	for n == 0 && err == nil {
-		n, err = r.Read(first[:])
-	}
-	if n == 0 {
-		if err == nil || errors.Is(err, io.EOF) {
-			return NewScanner(r)
-		}
-		return &errSource{err: streamErr(1, err)}
-	}
-	rest := io.MultiReader(bytes.NewReader(first[:]), r) // replay the sniffed byte
-	if first[0] == AccessBinaryMagicByte {
+	bin, rest := recio.Sniff(r, AccessBinaryMagicByte)
+	if bin {
 		return NewBinaryScanner(rest)
 	}
 	return NewScanner(rest)

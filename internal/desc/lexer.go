@@ -99,7 +99,7 @@ func lex(r io.Reader) ([]line, error) {
 		lines = append(lines, ln)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("desc: reading input: %v", err)
+		return nil, &ParseError{Line: num + 1, Msg: err.Error(), Err: err}
 	}
 	return lines, nil
 }

@@ -1,6 +1,8 @@
 package desc
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -98,6 +100,30 @@ func TestLexLongLine(t *testing.T) {
 	lines := lexString(t, sb.String())
 	if len(lines[0].fields) != 5001 {
 		t.Errorf("fields: %d", len(lines[0].fields))
+	}
+}
+
+// A line past the lexer's 1 MiB cap is a reader failure: every entry
+// point reports it as a positioned *ParseError at the line it cut short,
+// unwrapping to bufio.ErrTooLong.
+func TestLexReadFailurePositioned(t *testing.T) {
+	src := "A b=1\n" + strings.Repeat("x", 1<<20+1) + "\n"
+	for name, parse := range map[string]func(string) error{
+		"ParseString": func(s string) error { _, err := ParseString(s); return err },
+		"ParseDocument": func(s string) error {
+			_, _, err := ParseDocument(strings.NewReader(s))
+			return err
+		},
+		"ParseOverlayString": func(s string) error { _, err := ParseOverlayString(s); return err },
+	} {
+		err := parse(src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 2 {
+			t.Errorf("%s: got %v, want a *ParseError at line 2", name, err)
+		}
+		if !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("%s: errors.Is(%v, bufio.ErrTooLong) = false", name, err)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"drampower/internal/desc"
-	"drampower/internal/engine"
 	"drampower/internal/units"
 )
 
@@ -463,27 +462,6 @@ func rowToRow(i Interface) units.Duration {
 		return units.Nanoseconds(7.5)
 	}
 	return units.Nanoseconds(15)
-}
-
-// BuildAll returns descriptions for every roadmap node.
-func BuildAll() ([]*desc.Description, error) {
-	return BuildAllOpts(engine.Options{Workers: 1})
-}
-
-// BuildAllOpts is BuildAll with batch-evaluation options: the nodes
-// synthesize and validate concurrently, in roadmap order.
-func BuildAllOpts(opts engine.Options) ([]*desc.Description, error) {
-	out, err := engine.Map(Roadmap(), func(_ int, n Node) (*desc.Description, error) {
-		d := n.Description()
-		if err := d.Validate(); err != nil {
-			return nil, fmt.Errorf("scaling: node %s: %w", n.Name(), err)
-		}
-		return d, nil
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // deviceName labels a device like the paper's figures: "1G DDR3 x16

@@ -212,16 +212,6 @@ func TestShrinkTable(t *testing.T) {
 	}
 }
 
-func TestBuildAllValidates(t *testing.T) {
-	ds, err := BuildAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != len(Roadmap()) {
-		t.Fatalf("built %d descriptions", len(ds))
-	}
-}
-
 func TestGenerationDescriptions(t *testing.T) {
 	for _, n := range Roadmap() {
 		n := n

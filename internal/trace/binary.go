@@ -31,12 +31,12 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 
 	"drampower/internal/desc"
+	"drampower/internal/recio"
 )
 
 // dtbMagic is the file header: three printable identifying bytes behind a
@@ -115,7 +115,7 @@ func (sc *BinaryScanner) fill() {
 			return
 		}
 		if err != nil {
-			sc.err = streamErr(int(sc.n+1), err)
+			sc.err = &desc.ParseError{Kind: "trace", Line: int(sc.n + 1), Msg: err.Error(), Err: err}
 			return
 		}
 	}
@@ -143,8 +143,8 @@ func (sc *BinaryScanner) readHeader() bool {
 }
 
 // binVarint decodes one zigzag varint from b starting at i, never reading
-// at or past end. ok is false on truncation or a >10-byte (overflowing)
-// encoding.
+// at or past end. ok is false on truncation or an encoding that
+// overflows 64 bits.
 func binVarint(b []byte, i, end int) (v int64, next int, ok bool) {
 	var u uint64
 	var shift uint
@@ -159,9 +159,6 @@ func binVarint(b []byte, i, end int) (v int64, next int, ok bool) {
 			return unzigzag(u), i, true
 		}
 		shift += 7
-		if shift > 63 {
-			return 0, i, false
-		}
 	}
 	return 0, i, false
 }
@@ -452,23 +449,9 @@ func (sc *Scanner) ScanBatch(dst []Command) int {
 // cannot start a well-formed text line) selects the binary scanner,
 // anything else the text one. An empty input yields an empty text trace.
 func NewSource(r io.Reader) Source {
-	var first [1]byte
-	n, err := io.ReadFull(r, first[:])
-	if n == 0 {
-		if err == io.EOF {
-			return NewScanner(io.MultiReader()) // empty input: empty text trace
-		}
-		return NewScanner(&errReader{err: err})
-	}
-	rest := io.MultiReader(bytes.NewReader(first[:]), r) // replay the sniffed byte
-	if first[0] == dtbMagic[0] {
+	bin, rest := recio.Sniff(r, dtbMagic[0])
+	if bin {
 		return NewBinaryScanner(rest)
 	}
 	return NewScanner(rest)
 }
-
-// errReader surfaces a sniff-time read error through the scanner's
-// error path.
-type errReader struct{ err error }
-
-func (e *errReader) Read([]byte) (int, error) { return 0, e.err }

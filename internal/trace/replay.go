@@ -217,12 +217,6 @@ func (r *Replayer) ReplaySource(src Source) error {
 	})
 }
 
-// ReplayScanner streams the text scanner's commands through the
-// per-channel simulators on the decode/simulate pipeline.
-func (r *Replayer) ReplayScanner(sc *Scanner) error {
-	return r.ReplaySource(sc)
-}
-
 // Replay streams a trace from rd through the channels, sniffing the
 // encoding (dtb binary or text) from the first byte.
 func (r *Replayer) Replay(rd io.Reader) error {

@@ -33,6 +33,7 @@ import (
 	"strconv"
 
 	"drampower/internal/desc"
+	"drampower/internal/recio"
 )
 
 // parseErr returns a positioned trace-input error (a *desc.ParseError
@@ -42,22 +43,12 @@ func parseErr(line, col int, format string, args ...any) error {
 	return &desc.ParseError{Kind: "trace", Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// streamErr wraps a reader failure at the given line in a positioned
-// trace-input error that unwraps to it.
-func streamErr(line int, err error) error {
-	return &desc.ParseError{Kind: "trace", Line: line, Msg: err.Error(), Err: err}
-}
-
-// maxLineBytes bounds a single trace line; a well-formed line is a few
-// dozen bytes, so the cap only guards against pathological input.
-const maxLineBytes = 1 << 16
-
 // Scanner reads a command trace from an io.Reader one line at a time.
 // After construction it performs no per-line heap allocations: lines are
 // tokenized in place on the underlying bufio buffer and integers and
 // mnemonics are decoded without forming strings (no strings.Split, no
 // strconv on the hot path). Use it directly with Simulator.RunStream or
-// Replayer.ReplayScanner:
+// Replayer.ReplaySource:
 //
 //	sc := trace.NewScanner(f)
 //	for sc.Scan() {
@@ -66,17 +57,14 @@ const maxLineBytes = 1 << 16
 //	}
 //	if err := sc.Err(); err != nil { ... }
 type Scanner struct {
-	s    *bufio.Scanner
-	line int
-	cmd  Command
-	err  error
+	in  recio.Lines
+	cmd Command
+	err error
 }
 
 // NewScanner returns a Scanner reading trace text from r.
 func NewScanner(r io.Reader) *Scanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 4096), maxLineBytes)
-	return &Scanner{s: s}
+	return &Scanner{in: recio.NewLines(r, "trace")}
 }
 
 // Scan advances to the next command, skipping blank and comment lines.
@@ -86,28 +74,18 @@ func (sc *Scanner) Scan() bool {
 	if sc.err != nil {
 		return false
 	}
-	for sc.s.Scan() {
-		sc.line++
-		cmd, ok, err := parseLine(sc.s.Bytes(), sc.line)
-		if err != nil {
-			// bufio.Scanner hands out the unterminated tail of a failed
-			// read as a last line: if the stream fails right after the bad
-			// line, the cut (a body cap, a timeout) is the error to report.
-			if !sc.s.Scan() && sc.s.Err() != nil {
-				err = streamErr(sc.line, sc.s.Err())
-			}
-			sc.err = err
-			return false
-		}
-		if ok {
-			sc.cmd = cmd
-			return true
-		}
+	b, i, ok := sc.in.Next()
+	if !ok {
+		sc.err = sc.in.Err()
+		return false
 	}
-	if err := sc.s.Err(); err != nil {
-		sc.err = streamErr(sc.line+1, err)
+	cmd, err := parseLine(b, i, sc.in.Line())
+	if err != nil {
+		sc.err = sc.in.Reject(err)
+		return false
 	}
-	return false
+	sc.cmd = cmd
+	return true
 }
 
 // Command returns the command of the last successful Scan.
@@ -117,159 +95,77 @@ func (sc *Scanner) Command() Command { return sc.cmd }
 // after a clean end of input.
 func (sc *Scanner) Err() error { return sc.err }
 
-// Line returns the 1-based number of the last line read.
-func (sc *Scanner) Line() int { return sc.line }
-
-// parseLine decodes one trace line. ok is false for blank and
-// comment-only lines.
-func parseLine(b []byte, line int) (cmd Command, ok bool, err error) {
-	i := skipSpace(b, 0)
-	if i >= len(b) || b[i] == '#' {
-		return Command{}, false, nil
-	}
-	slot, j, numOK := parseInt(b, i)
+// parseLine decodes the trace line b, whose first field starts at i.
+func parseLine(b []byte, i, line int) (cmd Command, err error) {
+	slot, j, numOK := recio.ParseInt(b, i, true)
 	if !numOK {
-		return Command{}, false, parseErr(line, i+1, "bad slot %q (want integer)", field(b, i))
+		return Command{}, parseErr(line, i+1, "bad slot %q (want integer)", recio.Field(b, i))
 	}
 	if slot < 0 {
-		return Command{}, false, parseErr(line, i+1, "negative slot %d", slot)
+		return Command{}, parseErr(line, i+1, "negative slot %d", slot)
 	}
 	cmd.Slot = slot
 
-	i = skipSpace(b, j)
-	if i >= len(b) || b[i] == '#' {
-		return Command{}, false, parseErr(line, 0, "missing operation")
+	i = recio.SkipSpace(b, j)
+	if recio.AtEnd(b, i) {
+		return Command{}, parseErr(line, 0, "missing operation")
 	}
-	j = endOfField(b, i)
+	j = recio.EndOfField(b, i)
 	op, opOK := parseOpBytes(b[i:j])
 	if !opOK {
-		return Command{}, false, parseErr(line, i+1, "unknown operation %q (want nop, act, pre, rd, wrt, ref, pde, pdx, sre or srx)", field(b, i))
+		return Command{}, parseErr(line, i+1, "unknown operation %q (want nop, act, pre, rd, wrt, ref, pde, pdx, sre or srx)", recio.Field(b, i))
 	}
 	cmd.Op = op
 
-	i = skipSpace(b, j)
-	if i < len(b) && b[i] != '#' {
-		bank, k, bankOK := parseInt(b, i)
+	i = recio.SkipSpace(b, j)
+	if !recio.AtEnd(b, i) {
+		bank, k, bankOK := recio.ParseInt(b, i, true)
 		if !bankOK {
-			return Command{}, false, parseErr(line, i+1, "bad bank %q (want integer)", field(b, i))
+			return Command{}, parseErr(line, i+1, "bad bank %q (want integer)", recio.Field(b, i))
 		}
 		cmd.Bank = int(bank)
-		i = skipSpace(b, k)
+		i = recio.SkipSpace(b, k)
 	}
-	if i < len(b) && b[i] != '#' {
-		row, k, rowOK := parseInt(b, i)
+	if !recio.AtEnd(b, i) {
+		row, k, rowOK := recio.ParseInt(b, i, true)
 		if !rowOK {
-			return Command{}, false, parseErr(line, i+1, "bad row %q (want integer)", field(b, i))
+			return Command{}, parseErr(line, i+1, "bad row %q (want integer)", recio.Field(b, i))
 		}
 		cmd.Row = int(row)
-		i = skipSpace(b, k)
+		i = recio.SkipSpace(b, k)
 	}
-	if i < len(b) && b[i] != '#' {
-		return Command{}, false, parseErr(line, i+1, "trailing field %q (want <slot> <op> [<bank> [<row>]])", field(b, i))
+	if !recio.AtEnd(b, i) {
+		return Command{}, parseErr(line, i+1, "trailing field %q (want <slot> <op> [<bank> [<row>]])", recio.Field(b, i))
 	}
-	return cmd, true, nil
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
-
-// skipSpace returns the index of the first non-space byte at or after i.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && isSpace(b[i]) {
-		i++
-	}
-	return i
-}
-
-// endOfField returns the index just past the field starting at i.
-func endOfField(b []byte, i int) int {
-	for i < len(b) && !isSpace(b[i]) && b[i] != '#' {
-		i++
-	}
-	return i
-}
-
-// field extracts the field starting at i for error messages (this path
-// may allocate; the accept path never calls it).
-func field(b []byte, i int) string { return string(b[i:endOfField(b, i)]) }
-
-// parseInt decodes a decimal integer field starting at i without
-// allocating. It returns the value, the index just past the field, and
-// whether the field was a well-formed integer ending at a field boundary.
-func parseInt(b []byte, i int) (int64, int, bool) {
-	j := i
-	neg := false
-	if j < len(b) && (b[j] == '-' || b[j] == '+') {
-		neg = b[j] == '-'
-		j++
-	}
-	start := j
-	var v int64
-	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-		// Bound before the multiply: v*10 can wrap past negative back
-		// into the positive range, so a post-hoc v < 0 check is not
-		// enough.
-		if v > ((1<<63-1)-9)/10 {
-			return 0, j, false // overflow
-		}
-		v = v*10 + int64(b[j]-'0')
-		j++
-	}
-	if j == start {
-		return 0, j, false
-	}
-	if j < len(b) && !isSpace(b[j]) && b[j] != '#' {
-		return 0, j, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, j, true
+	return cmd, nil
 }
 
 // parseOpBytes matches an operation mnemonic ASCII-case-insensitively
 // without allocating. The accepted set matches desc.ParseOp.
 func parseOpBytes(b []byte) (desc.Op, bool) {
 	switch {
-	case eqFold(b, "nop"):
+	case recio.EqFold(b, "nop"):
 		return desc.OpNop, true
-	case eqFold(b, "act"), eqFold(b, "activate"):
+	case recio.EqFold(b, "act"), recio.EqFold(b, "activate"):
 		return desc.OpActivate, true
-	case eqFold(b, "pre"), eqFold(b, "precharge"):
+	case recio.EqFold(b, "pre"), recio.EqFold(b, "precharge"):
 		return desc.OpPrecharge, true
-	case eqFold(b, "rd"), eqFold(b, "read"):
+	case recio.EqFold(b, "rd"), recio.EqFold(b, "read"):
 		return desc.OpRead, true
-	case eqFold(b, "wrt"), eqFold(b, "wr"), eqFold(b, "write"):
+	case recio.EqFold(b, "wrt"), recio.EqFold(b, "wr"), recio.EqFold(b, "write"):
 		return desc.OpWrite, true
-	case eqFold(b, "ref"), eqFold(b, "refresh"):
+	case recio.EqFold(b, "ref"), recio.EqFold(b, "refresh"):
 		return desc.OpRefresh, true
-	case eqFold(b, "pde"):
+	case recio.EqFold(b, "pde"):
 		return OpPowerDownEnter, true
-	case eqFold(b, "pdx"):
+	case recio.EqFold(b, "pdx"):
 		return OpPowerDownExit, true
-	case eqFold(b, "sre"):
+	case recio.EqFold(b, "sre"):
 		return OpSelfRefreshEnter, true
-	case eqFold(b, "srx"):
+	case recio.EqFold(b, "srx"):
 		return OpSelfRefreshExit, true
 	}
 	return 0, false
-}
-
-// eqFold reports whether b equals the lower-case string s under ASCII
-// case folding, without allocating.
-func eqFold(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != s[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteTrace renders commands in the trace text format, one line per
